@@ -111,6 +111,8 @@ func (s *System) makeOntology(in *Instance, mk *makerState) *ontology.Ontology {
 					if seenToken[tok] {
 						continue
 					}
+					// The hierarchy outlives the document text tok may share.
+					tok = strings.Clone(tok)
 					seenToken[tok] = true
 					s.addHypernymChain(isa, tok)
 				}

@@ -200,7 +200,6 @@ type MutationResult struct {
 	ReusedClusters  int
 	RebuiltClusters int
 	SimChecks       int
-	PairChecks      int
 	// SEONodes is the cluster count of the new snapshot's SEO.
 	SEONodes int
 	Duration time.Duration
@@ -376,7 +375,6 @@ func (s *System) mutateOntology(relation, op string, apply func(*ontology.Fusion
 		res.ReusedClusters = rst.ReusedClusters
 		res.RebuiltClusters = rst.RebuiltClusters
 		res.SimChecks = rst.SimChecks
-		res.PairChecks = rst.PairChecks
 		res.SEONodes = enhanced.NodeCount()
 		s.onto.reclusteredNodes.Add(uint64(rst.ComponentNodes))
 		s.onto.lastComponent.Store(uint64(rst.ComponentNodes))

@@ -1,11 +1,11 @@
 // Incremental SEA: re-cluster only the part of the hierarchy a mutation
 // touched. The similarity graph of Definition 8 decomposes the SEO into
 // connected components; an edge addition/retraction or a node merge can only
-// change similarity edges, order-compatibility, or order-lifting verdicts
-// for nodes in the component reachable from the mutation's dirty set, so the
-// cliques (clusters) outside that component — and the lift verdicts between
-// them — are reused verbatim. Recluster is proven equivalent to a
-// from-scratch Enhance by testing/quick in incremental_test.go.
+// change similarity edges or order-compatibility for nodes in the component
+// reachable from the mutation's dirty set, so the cliques (clusters) outside
+// that component are reused verbatim; the order lift is redone over all
+// clusters. Recluster is proven equivalent to a from-scratch Enhance by
+// testing/quick in incremental_test.go.
 package seo
 
 import (
@@ -45,10 +45,8 @@ type ReclusterStats struct {
 	// RebuiltClusters came out of the component's clique enumeration.
 	ReusedClusters  int
 	RebuiltClusters int
-	// SimChecks counts node pairs re-measured for similarity; PairChecks
-	// counts cluster pairs whose order lift was recomputed.
-	SimChecks  int
-	PairChecks int
+	// SimChecks counts node pairs re-measured for similarity.
+	SimChecks int
 }
 
 // Recluster incrementally updates prev — a similarity enhancement of some
@@ -57,48 +55,36 @@ type ReclusterStats struct {
 // Mu, hierarchy, dropped edges) to Enhance(h, d, eps, opts); d, eps and opts
 // must be the ones prev was built with. A nil prev falls back to Enhance.
 func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float64, opts Options, delta Delta) (*SEO, *ReclusterStats, error) {
-	if prev == nil || prev.lift == nil {
+	if prev == nil {
 		s, err := Enhance(h, d, eps, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		st := &ReclusterStats{
-			TotalNodes:      h.NodeCount(),
-			ComponentNodes:  h.NodeCount(),
-			RebuiltClusters: len(s.Clusters),
-		}
-		return s, st, nil
+		n := h.NodeCount()
+		return s, &ReclusterStats{TotalNodes: n, ComponentNodes: n, RebuiltClusters: len(s.Clusters)}, nil
 	}
 
-	nodes := h.Nodes()
-	nodeSet := make(map[string]bool, len(nodes))
-	for _, n := range nodes {
-		nodeSet[n] = true
-	}
-	strs := func(n string) []string {
-		if opts.Strings != nil {
-			if s := opts.Strings[n]; len(s) > 0 {
-				return s
-			}
-		}
-		return []string{n}
-	}
+	ord := newOrderSets(h)
+	nodes := ord.nodes
 	st := &ReclusterStats{TotalNodes: len(nodes)}
+	live := func(n string) bool {
+		_, ok := ord.idx[n]
+		return ok
+	}
 
 	dirty := map[string]bool{}
 	for _, n := range delta.Dirty {
-		if nodeSet[n] {
+		if live(n) {
 			dirty[n] = true
 		}
 	}
 	st.DirtyNodes = len(dirty)
 
-	h.BuildReachability()
-
 	// Fresh similarity edges incident to dirty nodes: only these can differ
 	// from the previous graph — a clean–clean pair has unchanged strings and
 	// unchanged ancestor/descendant sets, so its edge is exactly its old
-	// co-cluster adjacency.
+	// co-cluster adjacency. Under the compatibility filter a dirty node is
+	// measured only against its signature group, parents and children.
 	adjNew := map[string]map[string]bool{}
 	link := func(a, b string) {
 		if adjNew[a] == nil {
@@ -106,21 +92,17 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 		}
 		adjNew[a][b] = true
 	}
+	var cand []int
 	for a := range dirty {
-		sa := strs(a)
-		for _, b := range nodes {
-			if b == a {
-				continue
-			}
+		sa := opts.nodeStrings(a)
+		cand = ord.candidates(ord.idx[a], opts.CompatibilityFilter, cand[:0])
+		for _, j := range cand {
+			b := nodes[j]
 			st.SimChecks++
-			if !nodeWithin(d, sa, strs(b), eps, opts.DisableLemma1) {
-				continue
+			if nodeWithin(d, sa, opts.nodeStrings(b), eps, opts.DisableLemma1) {
+				link(a, b)
+				link(b, a)
 			}
-			if opts.CompatibilityFilter && !orderCompatible(h, a, b) {
-				continue
-			}
-			link(a, b)
-			link(b, a)
 		}
 	}
 
@@ -129,7 +111,7 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 		var out []string
 		for _, c := range prev.Mu[n] {
 			for _, m := range prev.Clusters[c] {
-				if m != n && nodeSet[m] {
+				if m != n && live(m) {
 					out = append(out, m)
 				}
 			}
@@ -144,7 +126,7 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 	comp := map[string]bool{}
 	var queue []string
 	push := func(n string) {
-		if nodeSet[n] && !comp[n] {
+		if live(n) && !comp[n] {
 			comp[n] = true
 			queue = append(queue, n)
 		}
@@ -179,28 +161,9 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 		compNodes = append(compNodes, n)
 	}
 	sort.Strings(compNodes)
-	idx := make(map[string]int, len(compNodes))
-	for i, n := range compNodes {
-		idx[n] = i
-	}
 	adj := make([]map[int]bool, len(compNodes))
 	for i := range adj {
 		adj[i] = map[int]bool{}
-	}
-	inOldCluster := func(a, b string) bool {
-		i, j := 0, 0
-		ca, cb := prev.Mu[a], prev.Mu[b]
-		for i < len(ca) && j < len(cb) {
-			switch {
-			case ca[i] == cb[j]:
-				return true
-			case ca[i] < cb[j]:
-				i++
-			default:
-				j++
-			}
-		}
-		return false
 	}
 	for i, a := range compNodes {
 		for j := i + 1; j < len(compNodes); j++ {
@@ -209,7 +172,7 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 			if dirty[a] || dirty[b] {
 				edge = adjNew[a][b]
 			} else {
-				edge = inOldCluster(a, b)
+				edge = prev.Similar(a, b)
 			}
 			if edge {
 				adj[i][j] = true
@@ -217,21 +180,16 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 			}
 		}
 	}
-	rebuilt := maximalCliques(adj)
+	rebuilt := maximalCliques(compNodes, adj)
 
 	// Final cluster set: prev clusters disjoint from the component (and free
 	// of removed nodes) plus the component's fresh cliques, canonically
 	// ordered so naming matches a from-scratch Enhance.
 	var all [][]string
-	dirtyKeys := map[string]bool{}
-	prevKeys := make(map[string]bool, len(prev.Clusters))
-	for _, ms := range prev.Clusters {
-		prevKeys[clusterKey(ms)] = true
-	}
 	for _, ms := range prev.Clusters {
 		touched := false
 		for _, m := range ms {
-			if comp[m] || !nodeSet[m] {
+			if comp[m] || !live(m) {
 				touched = true
 				break
 			}
@@ -242,32 +200,11 @@ func Recluster(prev *SEO, h *ontology.Hierarchy, d similarity.Measure, eps float
 		all = append(all, ms)
 		st.ReusedClusters++
 	}
-	for _, cl := range rebuilt {
-		ms := make([]string, len(cl))
-		for k, i := range cl {
-			ms[k] = compNodes[i]
-		}
-		sort.Strings(ms)
-		all = append(all, ms)
-		// A rebuilt clique whose member set existed before and contains no
-		// dirty node has unchanged lift inputs; leave it clean so its pair
-		// verdicts are reused too.
-		key := clusterKey(ms)
-		clean := prevKeys[key]
-		for _, m := range ms {
-			if dirty[m] {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			dirtyKeys[key] = true
-		}
-		st.RebuiltClusters++
-	}
+	all = append(all, rebuilt...)
+	st.RebuiltClusters = len(rebuilt)
 	sortClusterLists(all)
 
-	s, err := assemble(h, all, d, eps, opts, prev, dirtyKeys, st)
+	s, err := assemble(h, ord, all, d, eps, opts)
 	if err != nil {
 		return nil, nil, err
 	}

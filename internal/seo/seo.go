@@ -9,6 +9,7 @@ package seo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -34,28 +35,7 @@ type SEO struct {
 	// Dropped lists order edges that relaxed construction removed because
 	// the converse of condition (1) failed; empty for strict construction.
 	Dropped []DroppedEdge
-
-	// lift caches the order-lifting verdict of every ordered cluster pair
-	// with existsLeq, keyed by the member-list keys of the two clusters.
-	// Recluster reuses the verdicts of clean pairs, so an incremental update
-	// re-examines only pairs that involve a rebuilt cluster.
-	lift map[liftKey]liftEdge
 }
-
-// liftKey identifies an ordered cluster pair by member-list keys (cluster
-// names are not stable across re-clustering; member sets are).
-type liftKey [2]string
-
-// liftEdge is one cached order-lifting verdict: ok means the all-pairs
-// condition (converse of Definition 8 condition (1)) held; otherwise wa/wb
-// witness the violating base pair.
-type liftEdge struct {
-	ok     bool
-	wa, wb string
-}
-
-// clusterKey canonically identifies a cluster by its sorted member list.
-func clusterKey(members []string) string { return strings.Join(members, "\x1f") }
 
 // DroppedEdge records an H'-edge removed in relaxed mode, with one witness
 // pair of H-nodes whose order the edge would have fabricated.
@@ -145,57 +125,41 @@ func nodeWithin(d similarity.Measure, sa, sb []string, eps float64, noLemma1 boo
 // enhancement, or an *InconsistencyError when none exists and opts.Relaxed
 // is false.
 func Enhance(h *ontology.Hierarchy, d similarity.Measure, eps float64, opts Options) (*SEO, error) {
-	nodes := h.Nodes()
-	strs := func(n string) []string {
-		if opts.Strings != nil {
-			if s := opts.Strings[n]; len(s) > 0 {
-				return s
-			}
-		}
-		return []string{n}
-	}
+	ord := newOrderSets(h)
+	nodes := ord.nodes
 
-	// Similarity graph: undirected edge A—B iff d(A,B) ≤ eps.
-	idx := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		idx[n] = i
-	}
+	// Similarity graph: undirected edge A—B iff d(A,B) ≤ eps, measured only
+	// on the pairs the compatibility filter (if on) lets through.
 	adj := make([]map[int]bool, len(nodes))
 	for i := range adj {
 		adj[i] = map[int]bool{}
 	}
-	if opts.CompatibilityFilter {
-		h.BuildReachability()
-	}
-	for i := 0; i < len(nodes); i++ {
-		si := strs(nodes[i])
-		for j := i + 1; j < len(nodes); j++ {
-			if !nodeWithin(d, si, strs(nodes[j]), eps, opts.DisableLemma1) {
-				continue
+	var cand []int
+	for i := range nodes {
+		si := opts.nodeStrings(nodes[i])
+		cand = ord.candidates(i, opts.CompatibilityFilter, cand[:0])
+		for _, j := range cand {
+			if j > i && nodeWithin(d, si, opts.nodeStrings(nodes[j]), eps, opts.DisableLemma1) {
+				adj[i][j] = true
+				adj[j][i] = true
 			}
-			if opts.CompatibilityFilter && !orderCompatible(h, nodes[i], nodes[j]) {
-				continue
-			}
-			adj[i][j] = true
-			adj[j][i] = true
 		}
 	}
 
 	// S'' = maximal cliques of the similarity graph (conditions (2)–(4)):
 	// every member pair is ≤ eps apart (2); every ≤-eps pair co-occurs in
 	// some clique (3); maximality rules out redundant subsets (4).
-	cliques := maximalCliques(adj)
-	members := make([][]string, len(cliques))
-	for ci, cl := range cliques {
-		ms := make([]string, len(cl))
-		for k, i := range cl {
-			ms[k] = nodes[i]
-		}
-		sort.Strings(ms)
-		members[ci] = ms
-	}
+	members := maximalCliques(nodes, adj)
 	sortClusterLists(members)
-	return assemble(h, members, d, eps, opts, nil, nil, nil)
+	return assemble(h, ord, members, d, eps, opts)
+}
+
+// nodeStrings returns the strings H-node n contains.
+func (o Options) nodeStrings(n string) []string {
+	if s := o.Strings[n]; len(s) > 0 {
+		return s
+	}
+	return []string{n}
 }
 
 // sortClusterLists orders member lists lexicographically (each list already
@@ -203,37 +167,22 @@ func Enhance(h *ontology.Hierarchy, d similarity.Measure, eps float64, opts Opti
 // enumeration order — the invariant that lets the incremental Recluster
 // reproduce a from-scratch Enhance byte for byte.
 func sortClusterLists(ms [][]string) {
-	sort.Slice(ms, func(i, j int) bool { return lessStrings(ms[i], ms[j]) })
-}
-
-func lessStrings(a, b []string) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
+	slices.SortFunc(ms, slices.Compare[[]string])
 }
 
 // assemble builds the SEO for a fixed, canonically sorted cluster set:
 // naming, order lifting with the converse-of-(1)/acyclicity checks, and
-// transitive reduction. When prev is non-nil, cached lift verdicts are reused
-// for ordered pairs whose two clusters both carry member keys present in
-// prev and absent from dirtyKeys; pairs involving a dirty cluster are
-// recomputed against h. The output is a pure function of (h, cliques, d,
-// eps, opts) either way — the cache only skips recomputation of verdicts
-// whose inputs are unchanged. stats, when non-nil, counts recomputed pairs.
-func assemble(h *ontology.Hierarchy, cliques [][]string, d similarity.Measure, eps float64, opts Options, prev *SEO, dirtyKeys map[string]bool, stats *ReclusterStats) (*SEO, error) {
+// transitive reduction. ord holds h's order sets.
+func assemble(h *ontology.Hierarchy, ord *orderSets, cliques [][]string, d similarity.Measure, eps float64, opts Options) (*SEO, error) {
 	s := &SEO{
 		Hierarchy:   ontology.NewHierarchy(),
 		Clusters:    map[string][]string{},
 		Mu:          map[string][]string{},
 		Epsilon:     eps,
 		MeasureName: d.Name(),
-		lift:        make(map[liftKey]liftEdge),
 	}
 	names := make([]string, len(cliques))
-	keys := make([]string, len(cliques))
+	of := make([][]int, len(ord.nodes)) // H-node → clusters containing it, ascending
 	used := map[string]int{}
 	for ci, ms := range cliques {
 		name := ms[0]
@@ -242,11 +191,11 @@ func assemble(h *ontology.Hierarchy, cliques [][]string, d similarity.Measure, e
 		}
 		used[ms[0]]++
 		names[ci] = name
-		keys[ci] = clusterKey(ms)
 		s.Clusters[name] = ms
 		s.Hierarchy.AddNode(name)
 		for _, m := range ms {
 			s.Mu[m] = append(s.Mu[m], name)
+			of[ord.idx[m]] = append(of[ord.idx[m]], ci)
 		}
 	}
 	for _, v := range s.Mu {
@@ -254,53 +203,34 @@ func assemble(h *ontology.Hierarchy, cliques [][]string, d similarity.Measure, e
 	}
 
 	// Order lifting (condition (1) forward direction): cluster C1 precedes
-	// C2 whenever some member of C1 precedes some member of C2 in H. The
-	// verdict of each pair depends only on the two member sets and H's
-	// reachability, so clean pairs may be copied from prev.
-	h.BuildReachability()
-	reuse := prev != nil && prev.lift != nil
-	for i := range cliques {
-		for j := range cliques {
-			if i == j {
-				continue
-			}
-			k := liftKey{keys[i], keys[j]}
-			if reuse && !dirtyKeys[keys[i]] && !dirtyKeys[keys[j]] {
-				if le, ok := prev.lift[k]; ok {
-					s.lift[k] = le
+	// C2 whenever some member of C1 lies strictly below some member of C2
+	// in H, so C2 contains a strict ancestor of a C1 member. Candidates come
+	// in ascending order, which fixes the order of the acyclicity checks and
+	// of Dropped.
+	seen := make([]int, len(cliques)) // seen[j] == i+1: j is already a candidate of i
+	var cand []int
+	for i, ms := range cliques {
+		cand = cand[:0]
+		for _, m := range ms {
+			for _, b := range ord.above[ord.idx[m]] {
+				for _, j := range of[b] {
+					if j != i && seen[j] != i+1 {
+						seen[j] = i + 1
+						cand = append(cand, j)
+					}
 				}
-				continue
 			}
-			if stats != nil {
-				stats.PairChecks++
-			}
-			if !existsLeq(h, cliques[i], cliques[j]) {
-				continue
-			}
-			le := liftEdge{ok: true}
-			if a, b, ok := allLeq(h, cliques[i], cliques[j]); !ok {
-				le = liftEdge{wa: a, wb: b}
-			}
-			s.lift[k] = le
 		}
-	}
-	// Acyclicity + converse of condition (1), applied in canonical order.
-	for i := range cliques {
-		for j := range cliques {
-			if i == j {
-				continue
-			}
-			le, ok := s.lift[liftKey{keys[i], keys[j]}]
-			if !ok {
-				continue
-			}
-			if !le.ok {
+		sort.Ints(cand)
+		for _, j := range cand {
+			// Converse of condition (1): every member pair must be ordered.
+			if wa, wb, ok := allLeq(h, ms, cliques[j]); !ok {
 				if !opts.Relaxed {
 					return nil, &InconsistencyError{Reason: fmt.Sprintf(
 						"edge %s -> %s requires %s <= %s in the base hierarchy, which does not hold",
-						names[i], names[j], le.wa, le.wb)}
+						names[i], names[j], wa, wb)}
 				}
-				s.Dropped = append(s.Dropped, DroppedEdge{From: names[i], To: names[j], WitnessA: le.wa, WitnessB: le.wb})
+				s.Dropped = append(s.Dropped, DroppedEdge{From: names[i], To: names[j], WitnessA: wa, WitnessB: wb})
 				continue
 			}
 			if err := s.Hierarchy.AddEdge(names[i], names[j]); err != nil {
@@ -314,18 +244,6 @@ func assemble(h *ontology.Hierarchy, cliques [][]string, d similarity.Measure, e
 	}
 	s.Hierarchy.TransitiveReduction()
 	return s, nil
-}
-
-// existsLeq reports whether some a ∈ as and b ∈ bs satisfy a ≤ b with a ≠ b.
-func existsLeq(h *ontology.Hierarchy, as, bs []string) bool {
-	for _, a := range as {
-		for _, b := range bs {
-			if a != b && h.Leq(a, b) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // allLeq checks a ≤ b for every pair; on failure it returns the witness pair.
@@ -379,8 +297,7 @@ func (s *SEO) SimilarTo(a string) []string {
 	return out
 }
 
-// Leq reports whether every cluster of a precedes some... — more precisely,
-// it lifts the base order through the SEO: a ≤' b iff some cluster of a
+// Leq lifts the base order through the SEO: a ≤' b iff some cluster of a
 // reaches some cluster of b in H' (length ≥ 0). This is the reachability the
 // TOSS isa/below conditions consult.
 func (s *SEO) Leq(a, b string) bool {
@@ -413,94 +330,184 @@ func (s *SEO) String() string {
 }
 
 // maximalCliques enumerates all maximal cliques of the undirected graph
-// given by adj, using Bron–Kerbosch with pivoting. Vertices are 0..len-1.
-func maximalCliques(adj []map[int]bool) [][]int {
-	if len(adj) == 0 {
-		return nil
-	}
-	var out [][]int
-	all := make([]int, len(adj))
-	for i := range all {
-		all[i] = i
+// given by adj over vertices 0..len-1, returning each as the sorted list of
+// its vertices' names. It runs Bron–Kerbosch with pivoting on one connected
+// component at a time, so no scan spans the whole graph.
+func maximalCliques(names []string, adj []map[int]bool) [][]string {
+	var out [][]string
+	neighboursIn := func(v int, s []int) []int {
+		var in []int
+		for _, u := range s {
+			if adj[v][u] {
+				in = append(in, u)
+			}
+		}
+		return in
 	}
 	var bk func(r, p, x []int)
 	bk = func(r, p, x []int) {
 		if len(p) == 0 && len(x) == 0 {
-			clique := make([]int, len(r))
-			copy(clique, r)
-			out = append(out, clique)
+			ms := make([]string, len(r))
+			for k, i := range r {
+				ms[k] = names[i]
+			}
+			sort.Strings(ms)
+			out = append(out, ms)
 			return
 		}
 		// Pivot: vertex of P ∪ X with most neighbours in P.
 		pivot, best := -1, -1
-		for _, v := range p {
-			if n := countIn(adj[v], p); n > best {
+		for _, v := range slices.Concat(p, x) {
+			n := 0
+			for _, u := range p {
+				if adj[v][u] {
+					n++
+				}
+			}
+			if n > best {
 				best, pivot = n, v
 			}
 		}
-		for _, v := range x {
-			if n := countIn(adj[v], p); n > best {
-				best, pivot = n, v
-			}
-		}
-		cand := make([]int, 0, len(p))
+		var cand []int
 		for _, v := range p {
-			if pivot < 0 || !adj[pivot][v] {
+			if !adj[pivot][v] {
 				cand = append(cand, v)
 			}
 		}
-		pSet := map[int]bool{}
-		for _, v := range p {
-			pSet[v] = true
-		}
-		xSet := map[int]bool{}
-		for _, v := range x {
-			xSet[v] = true
-		}
 		for _, v := range cand {
-			var p2, x2 []int
-			for n := range adj[v] {
-				if pSet[n] {
-					p2 = append(p2, n)
-				}
-				if xSet[n] {
-					x2 = append(x2, n)
-				}
-			}
-			sort.Ints(p2)
-			sort.Ints(x2)
-			bk(append(r, v), p2, x2)
-			delete(pSet, v)
-			xSet[v] = true
+			bk(append(r, v), neighboursIn(v, p), neighboursIn(v, x))
+			p = slices.DeleteFunc(p, func(u int) bool { return u == v })
+			x = append(x, v)
 		}
 	}
-	bk(nil, all, nil)
+	seen := make([]bool, len(adj))
+	for v := range adj {
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		comp := []int{v}
+		for k := 0; k < len(comp); k++ {
+			for u := range adj[comp[k]] {
+				if !seen[u] {
+					seen[u] = true
+					comp = append(comp, u)
+				}
+			}
+		}
+		slices.Sort(comp)
+		bk(nil, comp, nil)
+	}
 	return out
 }
 
-func countIn(set map[int]bool, of []int) int {
-	n := 0
-	for _, v := range of {
-		if set[v] {
-			n++
-		}
-	}
-	return n
+// orderSets is H's partial order as node indices, computed once per
+// Enhance, Recluster or Verify: for each node (in Nodes() order) its strict
+// ancestors and strict descendants, ascending, and its order signature
+// group — the nodes with the same strict ancestors and strict descendants.
+type orderSets struct {
+	nodes        []string
+	idx          map[string]int
+	above, below [][]int
+	group        []int   // group[i] indexes groups
+	groups       [][]int // each ascending
 }
 
-// orderCompatible reports whether a and b occupy the same position in H's
-// partial order: their ancestor sets and descendant sets agree once a and b
+func newOrderSets(h *ontology.Hierarchy) *orderSets {
+	nodes := h.Nodes()
+	o := &orderSets{
+		nodes: nodes,
+		idx:   make(map[string]int, len(nodes)),
+		above: make([][]int, len(nodes)),
+		below: make([][]int, len(nodes)),
+		group: make([]int, len(nodes)),
+	}
+	for i, n := range nodes {
+		o.idx[n] = i
+	}
+	for i, n := range nodes {
+		for _, a := range h.Above(n) { // sorted like nodes, so indices ascend
+			if a != n {
+				o.above[i] = append(o.above[i], o.idx[a])
+			}
+		}
+	}
+	for i := range nodes {
+		for _, a := range o.above[i] {
+			o.below[a] = append(o.below[a], i)
+		}
+	}
+	// Signature groups are the runs of equal (above, below) pairs in a
+	// stable sort, so each group stays ascending.
+	sig := func(i, j int) int {
+		if c := slices.Compare(o.above[i], o.above[j]); c != 0 {
+			return c
+		}
+		return slices.Compare(o.below[i], o.below[j])
+	}
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, sig)
+	for k, i := range order {
+		if k == 0 || sig(order[k-1], i) != 0 {
+			o.groups = append(o.groups, nil)
+		}
+		o.group[i] = len(o.groups) - 1
+		o.groups[o.group[i]] = append(o.groups[o.group[i]], i)
+	}
+	return o
+}
+
+// compatible reports whether nodes i and j occupy the same position in H's
+// partial order: their ancestor sets and descendant sets agree once i and j
 // themselves are ignored. Clusters of pairwise order-compatible nodes can
 // never fabricate or lose order, which is what makes CompatibilityFilter
 // enhancement always consistent.
-func orderCompatible(h *ontology.Hierarchy, a, b string) bool {
-	return setsEqualIgnoring(h.Above(a), h.Above(b), a, b) &&
-		setsEqualIgnoring(h.Below(a), h.Below(b), a, b)
+func (o *orderSets) compatible(i, j int) bool {
+	return equalIgnoring(o.above[i], o.above[j], i, j) && equalIgnoring(o.below[i], o.below[j], i, j)
 }
 
-// setsEqualIgnoring compares two sorted string slices for equality after
+// candidates appends to buf the nodes j ≠ i whose similarity to i SEA must
+// measure: all of them without the compatibility filter, only the
+// order-compatible ones with it. Unordered nodes are compatible exactly when
+// they share an order signature. An ordered compatible pair has nothing
+// between its nodes, so it is a direct edge whose lower node has one more
+// strict ancestor and one fewer strict descendant than its upper node.
+func (o *orderSets) candidates(i int, filter bool, buf []int) []int {
+	if !filter {
+		for j := range o.nodes {
+			if j != i {
+				buf = append(buf, j)
+			}
+		}
+		return buf
+	}
+	for _, j := range o.groups[o.group[i]] {
+		if j != i {
+			buf = append(buf, j)
+		}
+	}
+	edge := func(lo, hi int) bool {
+		return len(o.above[lo]) == len(o.above[hi])+1 && len(o.below[hi]) == len(o.below[lo])+1 && o.compatible(lo, hi)
+	}
+	for _, j := range o.above[i] {
+		if edge(i, j) {
+			buf = append(buf, j)
+		}
+	}
+	for _, j := range o.below[i] {
+		if edge(j, i) {
+			buf = append(buf, j)
+		}
+	}
+	return buf
+}
+
+// equalIgnoring compares two ascending index lists for equality after
 // removing x and y from both.
-func setsEqualIgnoring(s1, s2 []string, x, y string) bool {
+func equalIgnoring(s1, s2 []int, x, y int) bool {
 	i, j := 0, 0
 	for {
 		for i < len(s1) && (s1[i] == x || s1[i] == y) {

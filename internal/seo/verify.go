@@ -21,15 +21,9 @@ import (
 // strings gives each H-node's contained strings (nil ⇒ the node name). A nil
 // return means the SEO verifies.
 func Verify(h *ontology.Hierarchy, d similarity.Measure, eps float64, s *SEO, strings map[string][]string) error {
-	strs := func(n string) []string {
-		if strings != nil {
-			if v := strings[n]; len(v) > 0 {
-				return v
-			}
-		}
-		return []string{n}
-	}
-	nodes := h.Nodes()
+	strs := Options{Strings: strings}.nodeStrings
+	ord := newOrderSets(h)
+	nodes := ord.nodes
 
 	// Every base node appears in μ.
 	for _, n := range nodes {
@@ -50,11 +44,12 @@ func Verify(h *ontology.Hierarchy, d similarity.Measure, eps float64, s *SEO, st
 	}
 	// (3) within-eps pairs share a cluster — modulo the order-compatibility
 	// filter, whose exclusions are semantic, not accidental: only flag a
-	// violation when the pair is order-compatible.
+	// violation when the pair is order-compatible. All pairs are checked,
+	// independently of the signature blocking SEA uses.
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
 			a, b := nodes[i], nodes[j]
-			if NodeDistance(d, strs(a), strs(b)) <= eps && orderCompatible(h, a, b) && !s.Similar(a, b) {
+			if ord.compatible(i, j) && NodeDistance(d, strs(a), strs(b)) <= eps && !s.Similar(a, b) {
 				return fmt.Errorf("seo: %q and %q are within eps but share no cluster", a, b)
 			}
 		}
@@ -84,13 +79,9 @@ func Verify(h *ontology.Hierarchy, d similarity.Measure, eps float64, s *SEO, st
 	for _, e := range s.Dropped {
 		dropped[[2]string{e.From, e.To}] = true
 	}
-	h.BuildReachability()
-	for _, u := range nodes {
-		for _, v := range nodes {
-			if !h.Leq(u, v) || u == v {
-				continue
-			}
-			if !s.Leq(u, v) && !droppedBetween(s, dropped, u, v) {
+	for i, u := range nodes {
+		for _, j := range ord.above[i] {
+			if v := nodes[j]; !s.Leq(u, v) && !droppedBetween(s, dropped, u, v) {
 				return fmt.Errorf("seo: lost base order %q <= %q", u, v)
 			}
 		}

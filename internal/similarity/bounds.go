@@ -1,5 +1,7 @@
 package similarity
 
+import "math"
+
 // LowerBounder is an optional extension of Measure: a cheap lower bound on
 // Distance(x, y) that lets callers skip the full computation when the bound
 // already exceeds their threshold. The SEA algorithm uses it to prune the
@@ -10,21 +12,15 @@ type LowerBounder interface {
 
 // LowerBound for Levenshtein: the length difference (every length-changing
 // edit is one operation).
-func (Levenshtein) LowerBound(x, y string) float64 {
-	return float64(absInt(len([]rune(x)) - len([]rune(y))))
-}
+func (Levenshtein) LowerBound(x, y string) float64 { return lengthGap(x, y) }
 
 // LowerBound for Damerau: same as Levenshtein (transpositions do not change
 // length).
-func (Damerau) LowerBound(x, y string) float64 {
-	return float64(absInt(len([]rune(x)) - len([]rune(y))))
-}
+func (Damerau) LowerBound(x, y string) float64 { return lengthGap(x, y) }
 
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
+// lengthGap is the difference of the rune counts of x and y.
+func lengthGap(x, y string) float64 {
+	return math.Abs(float64(len([]rune(x)) - len([]rune(y))))
 }
 
 // Thresholder is an optional extension of Measure: decide Distance(x, y) ≤ eps

@@ -1,6 +1,10 @@
 package similarity
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // NameRule is the rule-based person-name measure the paper sketches for the
 // SIGMOD/DBLP application: "in our SIGMOD/DBLP application ... we could write
@@ -29,27 +33,132 @@ type NameRule struct {
 func (NameRule) Name() string { return "name-rule" }
 func (NameRule) Strong() bool { return false }
 
+func (n NameRule) fallback() Measure {
+	if n.Fallback == nil {
+		return Levenshtein{}
+	}
+	return n.Fallback
+}
+
 func (n NameRule) Distance(x, y string) float64 {
 	if x == y {
 		return 0
 	}
-	fb := n.Fallback
-	if fb == nil {
-		fb = Levenshtein{}
-	}
 	tx := Tokenize(x)
 	ty := Tokenize(y)
 	if len(tx) < 2 || len(ty) < 2 {
-		return fb.Distance(x, y)
+		return n.fallback().Distance(x, y)
 	}
 	// Concatenation/spacing error: identical once whitespace is removed.
-	if strings.Join(tx, "") == strings.Join(ty, "") {
+	if foldedEqual(x, y) {
 		return 1
 	}
+	return nameScore(tx, ty)
+}
+
+// nameScore is Distance for token lists of two or more tokens each whose
+// concatenations differ: the surname edit distance counted twice plus the
+// alignment cost of the given names.
+func nameScore(tx, ty []string) float64 {
 	surX, surY := tx[len(tx)-1], ty[len(ty)-1]
 	givenX, givenY := tx[:len(tx)-1], ty[:len(ty)-1]
 	score := 2 * float64(editDistance([]rune(surX), []rune(surY), true))
 	return score + alignGiven(givenX, givenY)
+}
+
+// WithinEps reports Distance(x, y) ≤ eps, deciding most pairs without
+// tokenizing. The concatenation rule is checked in place and before the
+// surname bound: "John Smith Jr" vs "John SmithJr" is distance 1 although
+// their surnames are 5 edits apart. For ASCII names the surname term alone
+// costs 2 per edit, so a surname distance above ⌊eps/2⌋ rejects the pair.
+func (n NameRule) WithinEps(x, y string, eps float64) bool {
+	if eps < 0 {
+		return false
+	}
+	if x == y {
+		return true
+	}
+	if countTokens(x) < 2 || countTokens(y) < 2 {
+		return Within(n.fallback(), x, y, eps)
+	}
+	if foldedEqual(x, y) {
+		return 1 <= eps
+	}
+	if isASCII(x) && isASCII(y) {
+		// Short rune slices that do not escape stay on the stack.
+		sx, sy := []rune(lastToken(x)), []rune(lastToken(y))
+		for _, rs := range [2][]rune{sx, sy} {
+			for i, r := range rs {
+				rs[i] = unicode.ToLower(r)
+			}
+		}
+		if k := int(eps / 2); editDistanceWithin(sx, sy, k, true) > k {
+			return false
+		}
+	}
+	return nameScore(Tokenize(x), Tokenize(y)) <= eps
+}
+
+// countTokens returns len(Tokenize(s)) without allocating.
+func countTokens(s string) int {
+	n, in := 0, false
+	for i := 0; i < len(s); {
+		_, size, alnum := runeAt(s, i)
+		if alnum && !in {
+			n++
+		}
+		in, i = alnum, i+size
+	}
+	return n
+}
+
+// foldedEqual reports strings.Join(Tokenize(x), "") == strings.Join(Tokenize(y), ""):
+// x and y agree once everything but letters and digits is dropped and case
+// is folded. It compares rune by rune without allocating.
+func foldedEqual(x, y string) bool {
+	i, j := 0, 0
+	for {
+		var rx, ry rune
+		rx, i = nextFolded(x, i)
+		ry, j = nextFolded(y, j)
+		if rx != ry {
+			return false
+		}
+		if rx < 0 {
+			return true
+		}
+	}
+}
+
+// nextFolded returns the lower-cased next letter or digit of s at or after
+// byte offset i and the offset just past it, or -1 at the end of s.
+func nextFolded(s string, i int) (rune, int) {
+	for i < len(s) {
+		r, size, alnum := runeAt(s, i)
+		i += size
+		if alnum {
+			return unicode.ToLower(r), i
+		}
+	}
+	return -1, i
+}
+
+// runeAt decodes the rune at byte offset i of s and reports whether Tokenize
+// keeps it (a letter or a digit).
+func runeAt(s string, i int) (r rune, size int, alnum bool) {
+	r, size = rune(s[i]), 1
+	if r >= utf8.RuneSelf {
+		r, size = utf8.DecodeRuneInString(s[i:])
+	}
+	return r, size, unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// lastToken returns the last maximal run of letters and digits in s, not
+// case-folded: the surname Tokenize would return, before lowering.
+func lastToken(s string) string {
+	alnum := func(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+	s = s[:strings.LastIndexFunc(s, alnum)+1]
+	return s[strings.LastIndexFunc(s, func(r rune) bool { return !alnum(r) })+1:]
 }
 
 // alignGiven scores two given-name token sequences with a token-level

@@ -13,7 +13,7 @@ package similarity
 import (
 	"math"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // Measure is a string similarity measure d_s. Smaller is more similar;
@@ -41,12 +41,14 @@ func (Levenshtein) Distance(x, y string) float64 {
 	return float64(editDistance([]rune(x), []rune(y), false))
 }
 
-// Damerau is the Damerau-Levenshtein distance (edit distance with adjacent
-// transposition). The restricted variant implemented here is still a metric.
+// Damerau is the restricted Damerau-Levenshtein distance (optimal string
+// alignment: edit distance with adjacent transposition, no substring edited
+// twice). The restriction breaks the triangle inequality —
+// d("ca","abc") = 3 > d("ca","ac") + d("ac","abc") = 2 — so it is not strong.
 type Damerau struct{}
 
 func (Damerau) Name() string { return "damerau" }
-func (Damerau) Strong() bool { return true }
+func (Damerau) Strong() bool { return false }
 
 func (Damerau) Distance(x, y string) float64 {
 	return float64(editDistance([]rune(x), []rune(y), true))
@@ -71,7 +73,7 @@ func WithinKDamerau(a, b string, k int) bool {
 // it is ≤ k, and any value > k otherwise. Cells outside the |i-j| ≤ k band
 // are never computed (they cannot be ≤ k: every off-diagonal step costs at
 // least one edit), and the scan stops as soon as the minimum of a band row
-// exceeds k.
+// exceeds k. It allocates nothing when b has at most 64 runes.
 func editDistanceWithin(a, b []rune, k int, transpose bool) int {
 	if k < 0 {
 		return 1 // any positive value > k
@@ -87,9 +89,12 @@ func editDistanceWithin(a, b []rune, k int, transpose bool) int {
 	}
 	const inf = int(^uint(0) >> 2)
 	width := len(b) + 1
-	prev2 := make([]int, width)
-	prev := make([]int, width)
-	cur := make([]int, width)
+	var stack [3 * 65]int // three rows for a b of up to 64 runes
+	rows := stack[:]
+	if 3*width > len(stack) {
+		rows = make([]int, 3*width)
+	}
+	prev2, prev, cur := rows[:width], rows[width:2*width], rows[2*width:3*width]
 	for j := 0; j <= len(b); j++ {
 		if j > k {
 			prev[j] = inf
@@ -149,48 +154,10 @@ func editDistanceWithin(a, b []rune, k int, transpose bool) int {
 }
 
 // editDistance computes Levenshtein (or, with transpose, restricted
-// Damerau-Levenshtein) distance with two or three rolling rows.
+// Damerau-Levenshtein) distance: the banded kernel with a band that holds
+// every cell, so it never exits early.
 func editDistance(a, b []rune, transpose bool) int {
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev2 := make([]int, len(b)+1)
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := 0; j <= len(b); j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-			if transpose && i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if t := prev2[j-2] + 1; t < m {
-					m = t
-				}
-			}
-			cur[j] = m
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+	return editDistanceWithin(a, b, max(len(a), len(b)), transpose)
 }
 
 // ---- Jaro and Jaro-Winkler ----
@@ -207,11 +174,15 @@ func (Jaro) Name() string { return "jaro" }
 func (Jaro) Strong() bool { return false }
 
 func (j Jaro) Distance(x, y string) float64 {
-	s := j.Scale
+	return scaleOf(j.Scale) * (1 - jaroSim([]rune(x), []rune(y)))
+}
+
+// scaleOf returns a measure's distance scale: s, or 1 for the zero value.
+func scaleOf(s float64) float64 {
 	if s == 0 {
-		s = 1
+		return 1
 	}
-	return s * (1 - jaroSim([]rune(x), []rune(y)))
+	return s
 }
 
 // JaroWinkler boosts Jaro similarity for strings sharing a prefix.
@@ -224,10 +195,6 @@ func (JaroWinkler) Name() string { return "jaro-winkler" }
 func (JaroWinkler) Strong() bool { return false }
 
 func (j JaroWinkler) Distance(x, y string) float64 {
-	s := j.Scale
-	if s == 0 {
-		s = 1
-	}
 	p := j.PrefixWeight
 	if p == 0 {
 		p = 0.1
@@ -239,7 +206,7 @@ func (j JaroWinkler) Distance(x, y string) float64 {
 		l++
 	}
 	sim += float64(l) * p * (1 - sim)
-	return s * (1 - sim)
+	return scaleOf(j.Scale) * (1 - sim)
 }
 
 func jaroSim(a, b []rune) float64 {
@@ -304,24 +271,42 @@ func jaroSim(a, b []rune) float64 {
 
 // Tokenize lower-cases s and splits it into maximal runs of letters and
 // digits. Shared by the token-based measures and the xmldb term index.
+// ASCII bytes are classified without UTF-8 decoding, and a token without
+// upper-case letters is a substring of s; a caller that keeps a token after
+// it is done with s should strings.Clone it.
 func Tokenize(s string) []string {
-	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			out = append(out, b.String())
-			b.Reset()
-		}
+	n := countTokens(s)
+	if n == 0 {
+		return nil
 	}
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
+	out := make([]string, 0, n)
+	for i := 0; i < len(s); {
+		j := i
+		for j < len(s) {
+			_, size, alnum := runeAt(s, j)
+			if !alnum {
+				break
+			}
+			j += size
+		}
+		if j > i {
+			out = append(out, strings.ToLower(s[i:j])) // s[i:j] itself when already lower-case ASCII
+			i = j
 		} else {
-			flush()
+			_, size, _ := runeAt(s, i)
+			i += size
 		}
 	}
-	flush()
 	return out
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // Jaccard is 1 - |S∩T|/|S∪T| over token sets, scaled by Scale (0 means 1).
@@ -334,10 +319,6 @@ func (Jaccard) Name() string { return "jaccard" }
 func (Jaccard) Strong() bool { return true }
 
 func (j Jaccard) Distance(x, y string) float64 {
-	s := j.Scale
-	if s == 0 {
-		s = 1
-	}
 	sx := tokenSet(x)
 	sy := tokenSet(y)
 	if len(sx) == 0 && len(sy) == 0 {
@@ -350,7 +331,7 @@ func (j Jaccard) Distance(x, y string) float64 {
 		}
 	}
 	union := len(sx) + len(sy) - inter
-	return s * (1 - float64(inter)/float64(union))
+	return scaleOf(j.Scale) * (1 - float64(inter)/float64(union))
 }
 
 func tokenSet(s string) map[string]bool {
@@ -371,15 +352,15 @@ func (Cosine) Name() string { return "cosine" }
 func (Cosine) Strong() bool { return false }
 
 func (c Cosine) Distance(x, y string) float64 {
-	s := c.Scale
-	if s == 0 {
-		s = 1
-	}
 	if x == y {
 		return 0
 	}
-	fx := termFreq(x)
-	fy := termFreq(y)
+	return cosineDistance(scaleOf(c.Scale), termFreq(x), termFreq(y))
+}
+
+// cosineDistance is scale·(1 − cosine similarity) of two term-weight
+// vectors; 0 when both are empty, scale when only one is.
+func cosineDistance(scale float64, fx, fy map[string]float64) float64 {
 	if len(fx) == 0 && len(fy) == 0 {
 		return 0
 	}
@@ -392,9 +373,9 @@ func (c Cosine) Distance(x, y string) float64 {
 		ny += v * v
 	}
 	if nx == 0 || ny == 0 {
-		return s
+		return scale
 	}
-	d := s * (1 - dot/(math.Sqrt(nx)*math.Sqrt(ny)))
+	d := scale * (1 - dot/(math.Sqrt(nx)*math.Sqrt(ny)))
 	if d < 0 {
 		return 0 // guard against floating-point overshoot
 	}

@@ -265,6 +265,31 @@ func TestQuickTriangleInequality(t *testing.T) {
 	}
 }
 
+// TestTriangleInequalityPinned holds the triples random search is unlikely
+// to hit: every measure claiming Strong() must satisfy the triangle
+// inequality on them. The first triple is why optimal string alignment
+// (restricted Damerau) is not strong: d("ca","abc") = 3 but the detour
+// through "ac" costs 1 + 1.
+func TestTriangleInequalityPinned(t *testing.T) {
+	triples := [][3]string{{"ca", "ac", "abc"}}
+	if d := (Damerau{}).Distance("ca", "abc"); d != 3 {
+		t.Fatalf("damerau(ca, abc) = %g, want 3", d)
+	}
+	for _, name := range Names() {
+		m := ByName(name)
+		if !m.Strong() {
+			continue
+		}
+		for _, tr := range triples {
+			x, y, z := tr[0], tr[1], tr[2]
+			if m.Distance(x, y)+m.Distance(y, z) < m.Distance(x, z)-1e-9 {
+				t.Errorf("%s claims Strong() but d(%q,%q) = %g > d(%q,%q) + d(%q,%q) = %g",
+					name, x, z, m.Distance(x, z), x, y, y, z, m.Distance(x, y)+m.Distance(y, z))
+			}
+		}
+	}
+}
+
 // TestQuickLowerBoundSound checks that LowerBound never exceeds Distance.
 func TestQuickLowerBoundSound(t *testing.T) {
 	for _, name := range Names() {

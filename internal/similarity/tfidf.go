@@ -54,34 +54,10 @@ func (m *TFIDF) idf(tok string) float64 {
 }
 
 func (m *TFIDF) Distance(x, y string) float64 {
-	s := m.Scale
-	if s == 0 {
-		s = 1
-	}
 	if x == y {
 		return 0
 	}
-	wx := m.weights(x)
-	wy := m.weights(y)
-	if len(wx) == 0 && len(wy) == 0 {
-		return 0
-	}
-	var dot, nx, ny float64
-	for tok, w := range wx {
-		dot += w * wy[tok]
-		nx += w * w
-	}
-	for _, w := range wy {
-		ny += w * w
-	}
-	if nx == 0 || ny == 0 {
-		return s
-	}
-	d := s * (1 - dot/(math.Sqrt(nx)*math.Sqrt(ny)))
-	if d < 0 {
-		return 0
-	}
-	return d
+	return cosineDistance(scaleOf(m.Scale), m.weights(x), m.weights(y))
 }
 
 func (m *TFIDF) weights(s string) map[string]float64 {

@@ -21,8 +21,8 @@ func TestWithinKMatchesFullDP(t *testing.T) {
 		}
 		a, b := gen(), gen()
 		k := r.Intn(6) - 1 // includes k = -1
-		lev := editDistance([]rune(a), []rune(b), false)
-		dam := editDistance([]rune(a), []rune(b), true)
+		lev := refEditDistance([]rune(a), []rune(b), false)
+		dam := refEditDistance([]rune(a), []rune(b), true)
 		if WithinK(a, b, k) != (k >= 0 && lev <= k) {
 			t.Logf("WithinK(%q,%q,%d) disagrees with distance %d", a, b, k, lev)
 			return false
@@ -58,4 +58,40 @@ func TestWithinUsesThreshold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refEditDistance is the plain full-matrix Levenshtein (with transpose,
+// restricted Damerau-Levenshtein) DP: the reference the banded kernel is
+// checked against.
+func refEditDistance(a, b []rune, transpose bool) int {
+	if len(a) == 0 {
+		return len(b)
+	}
+	if len(b) == 0 {
+		return len(a)
+	}
+	prev2 := make([]int, len(b)+1)
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := 0; j <= len(b); j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			m := min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
+			if transpose && i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
+				if t := prev2[j-2] + 1; t < m {
+					m = t
+				}
+			}
+			cur[j] = m
+		}
+		prev2, prev, cur = prev, cur, prev2
+	}
+	return prev[len(b)]
 }

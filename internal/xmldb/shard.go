@@ -2,6 +2,7 @@ package xmldb
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -103,6 +104,7 @@ func (sh *shard) buildIndexesLocked() {
 			tagIdx[n.Tag] = append(tagIdx[n.Tag], n)
 			if n.Content != "" {
 				for _, tok := range similarity.Tokenize(n.Content) {
+					tok = strings.Clone(tok) // keys outlive n.Content once its document is deleted
 					termIdx[tok] = append(termIdx[tok], n)
 				}
 				valIdx[valueKey(n.Tag, n.Content)] = append(valIdx[valueKey(n.Tag, n.Content)], n)
@@ -133,6 +135,7 @@ func (sh *shard) indexTreeLocked(t *tree.Tree) {
 		sh.tagIndex[n.Tag] = append(sh.tagIndex[n.Tag], n)
 		if n.Content != "" {
 			for _, tok := range similarity.Tokenize(n.Content) {
+				tok = strings.Clone(tok) // keys outlive n.Content once its document is deleted
 				sh.termIndex[tok] = append(sh.termIndex[tok], n)
 			}
 			sh.valueIndex[valueKey(n.Tag, n.Content)] = append(sh.valueIndex[valueKey(n.Tag, n.Content)], n)
